@@ -73,15 +73,17 @@ class EngineProfiler:
 
     **Phase scopes.**  Handlers are coarse: ``Switch.on_ingress`` is one
     number covering routing lookup, the P4 pipeline, and the egress enqueue.
-    Instrumented components open nested *phase scopes* inside the running
-    handler via :meth:`phase_begin` / :meth:`phase_next` / :meth:`phase_end`;
-    each scope accumulates under a semicolon-joined path rooted at the
-    handler qualname (``Switch.on_ingress;p4_pipeline;routing``) — the
-    collapsed-stack form flamegraph tooling consumes directly.  Paths are
-    interned per ``(parent, name)`` pair so steady state is one tuple hash,
-    one clock read per edge, and one small-dict update per scope.  Scopes
-    must balance within a handler; the engine resets the path between events
-    so an unbalanced scope cannot leak across events.
+    The hot handlers split themselves into sequential phases with
+    :meth:`lap`, one clock read per phase boundary; other instrumented
+    components open nested *phase scopes* via :meth:`phase_begin` /
+    :meth:`phase_end`.  Each phase accumulates under a semicolon-joined path
+    rooted at the running event's handler qualname
+    (``Switch.on_ingress;p4_pipeline;routing``) — the collapsed-stack form
+    flamegraph tooling consumes directly.  Paths are interned per
+    ``(parent, name)`` pair so steady state is one tuple hash and one
+    small-dict update per phase.  Scopes must balance within a handler; the
+    engine resets the path between events so an unbalanced scope cannot
+    leak across events.
 
     The profiler also self-reports an *overhead estimate*: per-scope and
     per-event accounting costs are measured by a short calibration loop at
@@ -95,12 +97,13 @@ class EngineProfiler:
         "queue_high_water",
         "wall_s",
         "phases",
-        "phase_firsts",
-        "phase_nexts",
+        "laps",
         "memory",
         "_stack",
         "_path",
         "_paths",
+        "_lap_entries",
+        "_root",
         "_t0",
     )
 
@@ -114,11 +117,10 @@ class EngineProfiler:
         # path -> [count, wall_seconds] for phase scopes, path rooted at the
         # handler qualname the scope ran under.
         self.phases: Dict[str, List[float]] = {}
-        # Scope-opening style counters, for the overhead model: phase_first
-        # opens cost no clock read, phase_next opens share the close's read.
-        # (Total scope count is derived from `phases` at summary time.)
-        self.phase_firsts = 0
-        self.phase_nexts = 0
+        # Phases recorded by lap(), for the overhead model: a lap reads the
+        # clock once where a begin/end pair reads it twice.  (Total phase
+        # count is derived from `phases` at summary time.)
+        self.laps = 0
         # Memory attribution (gc / tracemalloc), attached by the runner's
         # MemoryCapture when enabled; rides into the summary untouched.
         self.memory: Optional[Dict[str, Any]] = None
@@ -127,9 +129,11 @@ class EngineProfiler:
         self._stack: List[Tuple[str, float]] = []
         self._path = ""
         self._paths: Dict[Tuple[str, str], str] = {}
-        # Wall-clock timestamp of the running event's start, stamped by the
-        # engine loop; lets phase_first open the first scope of a handler
-        # with zero extra clock reads.
+        # (root, name) -> the `phases` entry a lap records into.
+        self._lap_entries: Dict[Tuple[str, str], List[float]] = {}
+        # The running event's handler qualname and the wall-clock start of
+        # its running lap, both stamped by the engine loop at event start.
+        self._root = ""
         self._t0 = 0.0
 
     # -- phase scopes ------------------------------------------------------
@@ -137,35 +141,8 @@ class EngineProfiler:
     def phase_begin(self, name: str) -> None:
         """Open a phase scope named ``name`` under the current path."""
         parent = self._path
-        key = (parent, name)
-        path = self._paths.get(key)
-        if path is None:
-            path = f"{parent};{name}" if parent else name
-            self._paths[key] = path
+        self._path = self._paths.get((parent, name)) or self._intern(parent, name)
         self._stack.append((parent, _perf_counter()))
-        self._path = path
-
-    def phase_first(self, name: str) -> None:
-        """Open the *first* scope of a handler, backdated to the handler's
-        own start time (stamped by the engine loop).  Costs no clock read,
-        and the handler's entry bookkeeping lands inside the scope instead
-        of leaking into unattributed self-time — this is what keeps phase
-        coverage of the hot handlers near 1.0.  Falls back to
-        :meth:`phase_begin` semantics when scopes are already open (the
-        handler was called from inside another instrumented path)."""
-        parent = self._path
-        key = (parent, name)
-        path = self._paths.get(key)
-        if path is None:
-            path = f"{parent};{name}" if parent else name
-            self._paths[key] = path
-        if self._stack:
-            start = _perf_counter()
-        else:
-            start = self._t0
-            self.phase_firsts += 1
-        self._stack.append((parent, start))
-        self._path = path
 
     def phase_end(self) -> None:
         """Close the innermost open phase scope."""
@@ -179,29 +156,42 @@ class EngineProfiler:
             entry[1] += t - start
         self._path = parent
 
-    def phase_next(self, name: str) -> None:
-        """Close the current scope and open a sibling named ``name`` with a
-        single clock read — the cheap transition for sequential phases."""
-        t = _perf_counter()
-        parent, start = self._stack[-1]
-        entry = self.phases.get(self._path)
-        if entry is None:
-            self.phases[self._path] = [1, t - start]
-        else:
+    def lap(self, name: str, then: str = "") -> None:
+        """Close a hot handler's running phase as ``<root>;name`` and root
+        the nested scopes of the next phase at ``<root>;then``.
+
+        The running phase started at the previous lap, or at the event's
+        start for the first one, so a handler split by laps is covered from
+        its first instruction with one clock read per phase.  The root is
+        the engine-dispatched callable's qualname — a wrapper's, when a
+        packet tracer wrapped the handler.  The entry lookup and counter
+        bump sit before the clock read, inside the phase they record.  An
+        empty ``name`` records nothing: it only roots the first phase's
+        nested scopes."""
+        root = self._root
+        if name:
+            entry = self._lap_entries.get((root, name))
+            if entry is None:
+                entry = self._lap_entries[(root, name)] = self.phases.setdefault(
+                    self._intern(root, name), [0, 0.0]
+                )
             entry[0] += 1
-            entry[1] += t - start
-        self.phase_nexts += 1
-        key = (parent, name)
-        path = self._paths.get(key)
-        if path is None:
-            path = f"{parent};{name}" if parent else name
-            self._paths[key] = path
-        self._stack[-1] = (parent, t)
-        self._path = path
+            self.laps += 1
+            t = _perf_counter()
+            entry[1] += t - self._t0
+            self._t0 = t
+        if then:
+            self._path = self._paths.get((root, then)) or self._intern(root, then)
+        else:
+            self._path = root
+
+    def _intern(self, parent: str, name: str) -> str:
+        path = self._paths[(parent, name)] = f"{parent};{name}" if parent else name
+        return path
 
     def _enter_event(self, handler_name: str) -> None:
         """Root the phase path at the running handler (engine loop only)."""
-        self._path = handler_name
+        self._root = self._path = handler_name
 
     def _exit_event(self) -> None:
         if self._stack:
@@ -264,12 +254,10 @@ class EngineProfiler:
     def overhead_estimate(self) -> Dict[str, Any]:
         """Self-measured accounting cost: per-op prices from a calibration
         loop, multiplied by exact op counts.  Every recorded scope is one
-        record; clock reads depend on how scopes were opened — begin/end
-        pairs read twice, a phase_next shares one read between close and
-        open, and a phase_first open reads nothing."""
+        record; begin/end pairs read the clock twice and laps once."""
         per_read, per_record, per_event = self._calibrate()
         pairs = sum(int(entry[0]) for entry in self.phases.values())
-        reads = max(2 * pairs - self.phase_firsts - self.phase_nexts, 0)
+        reads = max(2 * pairs - self.laps, 0)
         total = (
             reads * per_read
             + pairs * per_record
@@ -645,7 +633,7 @@ class Simulator:
                 self._live -= 1
                 self.events_executed += 1
                 name = getattr(fn, "__qualname__", None) or repr(fn)
-                profiler._path = name
+                profiler._root = profiler._path = name
                 t0 = clock()
                 profiler._t0 = t0
                 fn(*args)

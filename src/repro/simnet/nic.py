@@ -11,25 +11,11 @@ A :class:`Port` implements the store-and-forward path of one interface:
    Section III-A of the paper);
 4. after transmission + propagation delay, the packet is delivered to the
    peer port's node.
-
-**Transmit coalescing.**  A queue of N back-to-back frames normally costs N
-``_tx_complete`` events.  When semantics provably cannot differ — no service
-jitter on the node, no observability/fault/trace hooks, no queue-threshold
-callback, an unimpaired link, and no probe frames (whose egress stage is
-time-sensitive) — the port instead computes every frame's start time up
-front, schedules all deliveries plus **one** batch-completion event, and
-dequeues frames lazily at their logical start times so queue depth stays
-exactly what the one-event-per-frame path would have observed.  Every gate
-failure falls back to the per-frame path; ``REPRO_SLOWPATH=1`` disables
-coalescing outright (the oracle path for the equivalence suite).
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from time import perf_counter as _perf
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.simnet.link import Link
 from repro.simnet.packet import FLAG_PROBE, Packet
@@ -39,13 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.node import Node
 
 __all__ = ["Port"]
-
-# Pre-interned phase paths for the inline accounting in _tx_complete (the
-# second-hottest handler): the root the engine loop sets plus its two
-# sequential phases.  Identical taxonomy to the generic scope protocol.
-_ROOT_TXC = "Port._tx_complete"
-_PH_PROPAGATE = "Port._tx_complete;propagate"
-_PH_DEQUEUE = "Port._tx_complete;dequeue"
 
 
 class Port:
@@ -83,10 +62,6 @@ class Port:
         # This port's direction key on the link ("a"/"b"), resolved lazily —
         # ports are registered on the link after construction.
         self._dir_key: Optional[str] = None
-        # Logical dequeue times of coalesced frames still sitting in the
-        # queue (aligned with its head).  Empty when no batch is in flight.
-        self._plan: Deque[float] = deque()
-        self._coalesce = os.environ.get("REPRO_SLOWPATH", "") != "1"
 
     # -- identity -----------------------------------------------------------
 
@@ -110,8 +85,6 @@ class Port:
 
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for transmission.  Returns False on drop-tail."""
-        if self._plan:
-            self._drain_started()
         queue = self.queue
         if self._plain_queue:
             # Inlined DropTailQueue.push — keep in lockstep with
@@ -149,11 +122,9 @@ class Port:
 
     def _start_next(self) -> None:
         queue = self.queue
-        items = queue._items
-        if self._coalesce and len(items) >= 2 and self._try_coalesce():
-            return
         if self._plain_queue:
             # Inlined DropTailQueue.pop — keep in lockstep with queueing.py.
+            items = queue._items
             if not items:
                 self._transmitting = False
                 return
@@ -204,53 +175,17 @@ class Port:
         self._sim.post(tx_time, self._tx_complete_cb, packet)
 
     def _tx_complete(self, packet: Packet) -> None:
-        # Phase scopes (profiled runs only): propagate covers the wire
+        # Phase laps (profiled runs only): propagate covers the wire
         # loss-check + delivery scheduling, dequeue covers pulling the next
         # packet (with the probe-only egress_stage sub-phase inside).
         prof = self._sim.profiler
-        if prof is None:
-            self.packets_sent += 1
-            self._propagate(packet)
-            self._start_next()
-            return
-        if prof._stack or prof._path != _ROOT_TXC:
-            # Nested or out-of-band invocation: generic scope protocol.
-            prof.phase_first("propagate")
-            self.packets_sent += 1
-            self._propagate(packet)
-            prof.phase_next("dequeue")
-            self._start_next()
-            prof.phase_end()
-            return
-        # Inline accounting for the hot top-level case — same taxonomy and
-        # clock-read count as the generic protocol, none of its scope-stack
-        # cost (see Switch.on_ingress for the pattern).
-        phases = prof.phases
         self.packets_sent += 1
         self._propagate(packet)
-        # Entry lookups happen *inside* the spans they record (before the
-        # closing clock read), so the only work outside phase coverage is
-        # the in-place adds after the final read.
-        entry = phases.get(_PH_PROPAGATE)
-        t1 = _perf()
-        if entry is None:
-            phases[_PH_PROPAGATE] = [1, t1 - prof._t0]
-        else:
-            entry[0] += 1
-            entry[1] += t1 - prof._t0
-        # Root any nested scope (a probe's egress_stage opened from inside
-        # _start_next) under the dequeue path.
-        prof._path = _PH_DEQUEUE
+        if prof is not None:
+            prof.lap("propagate", "dequeue")
         self._start_next()
-        prof.phase_firsts += 1
-        prof.phase_nexts += 1
-        entry = phases.get(_PH_DEQUEUE)
-        t2 = _perf()
-        if entry is None:
-            phases[_PH_DEQUEUE] = [1, t2 - t1]
-        else:
-            entry[0] += 1
-            entry[1] += t2 - t1
+        if prof is not None:
+            prof.lap("dequeue")
 
     def _propagate(self, packet: Packet) -> None:
         link = self.link
@@ -287,107 +222,6 @@ class Port:
                 peer_node.on_ingress, packet, self._peer,
             )
 
-    # -- transmit coalescing ----------------------------------------------
-
-    def _try_coalesce(self) -> bool:
-        """Schedule every queued data frame's delivery now, plus one batch
-        completion event, instead of one ``_tx_complete`` round-trip per
-        frame.  Returns False (caller falls back to the per-frame path)
-        whenever any semantic gate fails; frames stay in the queue until
-        their logical start times (see :meth:`_drain_started`) so depth
-        observations — INT's ``enq_qdepth`` included — are unchanged."""
-        node = self.node
-        sim = self._sim
-        link = self.link
-        if node.service_jitter != 0.0:
-            # Service jitter is configured once at build time and makes
-            # per-frame RNG draw order semantics; remember the verdict so a
-            # congested switch port stops re-running the gates every frame.
-            self._coalesce = False
-            return False
-        if (
-            sim.obs is not None
-            or sim.faults is not None
-            or self.queue.on_threshold is not None
-            or link.impaired
-            or link.rate_factor != 1.0
-            or link.extra_delay != 0.0
-            or "on_egress" in node.__dict__
-        ):
-            return False
-        peer = self._peer
-        if peer is None:
-            peer = self._peer = link.peer_of(self)
-        peer_node = peer.node
-        if "on_ingress" in peer_node.__dict__:
-            # A tracer monkey-wrapped the receiver: deliveries must flow
-            # through the wrapped attribute resolved per event, and early
-            # scheduling would also reorder its records.
-            return False
-        items = self.queue._items
-        # Batch the probe-free prefix: a probe's egress stage reads clocks
-        # and registers at its dequeue instant, so it ends the batch.
-        prefix = 0
-        for pkt in items:
-            if pkt.flags & FLAG_PROBE:
-                break
-            prefix += 1
-        if prefix < 2:
-            return False
-        self._transmitting = True
-        rate = link.rate_from(self)
-        prop = link.propagation_delay
-        on_egress = node.on_egress
-        on_ingress = peer_node.on_ingress
-        record = link.record_carried
-        post_at = sim.post_at
-        plan = self._plan
-        start = sim.now
-        i = 0
-        for pkt in items:
-            if i >= prefix:
-                break
-            i += 1
-            plan.append(start)
-            # The egress stage runs now rather than at the frame's start
-            # instant; the gates guarantee it is time-insensitive for data
-            # frames (INT's per-port max-depth fold uses only enq_depth,
-            # host egress only stamps probes).
-            on_egress(pkt, self, pkt.enq_depth)
-            # Same expression shape as the per-frame path — (bytes * 8.0) /
-            # rate, accumulated one frame at a time — so every start time is
-            # bit-for-bit the value the per-frame path would have computed.
-            start += (pkt.size_bytes * 8.0) / rate
-            record(self, pkt.size_bytes)
-            post_at(start + prop, on_ingress, pkt, peer)
-        self.packets_sent += prefix
-        post_at(start, self._batch_complete, prefix)
-        return True
-
-    def _batch_complete(self, count: int) -> None:
-        # The batch replaced ``count`` per-frame completion events with this
-        # one; credit the elided count back so ``events_executed`` — an
-        # exported workload statistic — is independent of whether the engine
-        # coalesced (fast path) or ran frame-by-frame (oracle path).
-        self._sim.events_executed += count - 1
-        self._drain_started()
-        self._transmitting = False
-        if self.queue._items:
-            self._start_next()
-
-    def _drain_started(self) -> None:
-        """Pop coalesced frames whose logical transmission start has been
-        reached — called before any depth observation so a mid-batch push
-        sees exactly the depth the per-frame path would have recorded."""
-        plan = self._plan
-        now = self._sim.now
-        queue = self.queue
-        while plan and plan[0] <= now:
-            if queue.pop() is None:  # pragma: no cover - queue cleared mid-batch
-                plan.clear()
-                break
-            plan.popleft()
-
     # -- introspection ----------------------------------------------------------
 
     @property
@@ -397,6 +231,4 @@ class Port:
     @property
     def backlog(self) -> int:
         """Packets waiting behind the one in service."""
-        if self._plan:
-            self._drain_started()
         return self.queue.depth

@@ -16,7 +16,6 @@ port count.
 from __future__ import annotations
 
 import os
-from time import perf_counter as _perf
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import DataPlaneError
@@ -29,14 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.p4.pipeline import P4Program
 
 __all__ = ["Switch"]
-
-# Pre-interned phase paths for the inline accounting in the fast ingress
-# path (see on_ingress): the handler root the engine loop sets, plus its two
-# sequential phases.  Matching the generic scope taxonomy exactly keeps the
-# profile output identical whichever branch recorded it.
-_ROOT_INGRESS = "Switch.on_ingress"
-_PH_PIPELINE = "Switch.on_ingress;p4_pipeline"
-_PH_ENQUEUE = "Switch.on_ingress;enqueue"
 
 
 class Switch(Node):
@@ -74,110 +65,38 @@ class Switch(Node):
     # -- data path ----------------------------------------------------------
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
-        # Compiled fast path for the common data-packet hop: the program's
-        # parser + ingress control folded into one closure, zero context
-        # allocations.  Probes and uncompiled programs take the staged path.
+        # Phase laps (profiled runs only): p4_pipeline covers the parser +
+        # ingress control, enqueue covers the egress-port send.
+        prof = self.sim.profiler
+        self.packets_received += 1
         fast = self._fast_ingress
         if fast is not None and not packet.flags & FLAG_PROBE:
-            prof = self.sim.profiler
-            if prof is None:
-                self.packets_received += 1
-                egress_port = fast(packet)
-                if egress_port < 0:
-                    self.packets_dropped_pipeline += 1
-                    return
-                packet.hop_count += 1
-                self.packets_forwarded += 1
-                self.ports[egress_port].send(packet)
-                return
-            if prof._stack or prof._path != _ROOT_INGRESS:
-                # Nested or out-of-band invocation: the generic scope
-                # protocol handles arbitrary parent paths.
-                prof.phase_first("p4_pipeline")
-                self.packets_received += 1
-                egress_port = fast(packet)
-                if egress_port < 0:
-                    prof.phase_end()
-                    self.packets_dropped_pipeline += 1
-                    return
-                packet.hop_count += 1
-                self.packets_forwarded += 1
-                prof.phase_next("enqueue")
-                self.ports[egress_port].send(packet)
-                prof.phase_end()
-                return
-            # Inline accounting for the hot top-level case: same phase
-            # taxonomy and the same clock-read count as phase_first +
-            # phase_next + phase_end (2 reads), without the scope-stack and
-            # path-interning machinery.  The overhead-model counters
-            # (phase_firsts / phase_nexts) are bumped exactly as the generic
-            # protocol would, so the self-measured cost stays honest.
-            phases = prof.phases
-            self.packets_received += 1
+            # Compiled fast path for the common data-packet hop: the
+            # program's parser + ingress control folded into one closure,
+            # zero context allocations.
             egress_port = fast(packet)
-            if egress_port < 0:
-                entry = phases.get(_PH_PIPELINE)
-                t1 = _perf()
-                if entry is None:
-                    phases[_PH_PIPELINE] = [1, t1 - prof._t0]
-                else:
-                    entry[0] += 1
-                    entry[1] += t1 - prof._t0
-                prof.phase_firsts += 1
-                self.packets_dropped_pipeline += 1
-                return
-            packet.hop_count += 1
-            self.packets_forwarded += 1
-            # Entry lookups happen *inside* the spans they record (before
-            # the closing clock read), so the only work outside phase
-            # coverage is the in-place adds after the final read.
-            entry = phases.get(_PH_PIPELINE)
-            t1 = _perf()
-            if entry is None:
-                phases[_PH_PIPELINE] = [1, t1 - prof._t0]
-            else:
-                entry[0] += 1
-                entry[1] += t1 - prof._t0
-            # Root any nested scope (a probe's egress_stage opened from
-            # inside send -> _start_next) under the enqueue path.
-            prof._path = _PH_ENQUEUE
-            self.ports[egress_port].send(packet)
-            prof.phase_firsts += 1
-            prof.phase_nexts += 1
-            entry = phases.get(_PH_ENQUEUE)
-            t2 = _perf()
-            if entry is None:
-                phases[_PH_ENQUEUE] = [1, t2 - t1]
-            else:
-                entry[0] += 1
-                entry[1] += t2 - t1
-            return
-        # Phase scopes (profiled runs only): p4_pipeline covers the parser +
-        # ingress control (routing/int_stamp sub-phases open inside the
-        # program), enqueue covers the egress-port send.  phase_first
-        # backdates p4_pipeline to the handler's start, so the entry
-        # bookkeeping is attributed rather than lost.
-        prof = self.sim.profiler
-        if prof is not None:
-            prof.phase_first("p4_pipeline")
-        self.packets_received += 1
-        if self.program is None:
-            raise DataPlaneError(f"switch {self.name} has no data-plane program")
-        ctx = self.program.process_ingress(packet, in_port.port_index)
-        if ctx.dropped:
+        else:
+            # Staged pipeline: probes, uncompiled programs, and every packet
+            # under REPRO_SLOWPATH=1.  Its routing / int_stamp scopes nest
+            # under p4_pipeline; self.port() rejects a bad egress port.
             if prof is not None:
-                prof.phase_end()
+                prof.lap("", "p4_pipeline")
+            if self.program is None:
+                raise DataPlaneError(f"switch {self.name} has no data-plane program")
+            ctx = self.program.process_ingress(packet, in_port.port_index)
+            egress_port = -1 if ctx.dropped else self.port(ctx.egress_port).port_index
+        if egress_port < 0:
             self.packets_dropped_pipeline += 1
+            if prof is not None:
+                prof.lap("p4_pipeline")
             return
-        assert ctx.egress_port is not None
         packet.hop_count += 1
         self.packets_forwarded += 1
-        if prof is None:
-            self.port(ctx.egress_port).send(packet)
-            return
-        prof.phase_next("enqueue")
-        self.port(ctx.egress_port).send(packet)
-        prof.phase_end()
+        if prof is not None:
+            prof.lap("p4_pipeline", "enqueue")
+        self.ports[egress_port].send(packet)
+        if prof is not None:
+            prof.lap("enqueue")
 
     def on_egress(self, packet: Packet, out_port: Port, enq_depth: int) -> None:
         fast = self._fast_egress

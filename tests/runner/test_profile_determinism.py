@@ -105,6 +105,38 @@ class TestProfilingDeterminism:
             assert coverage[name] <= 1.05  # nesting invariant, clock noise
         assert summary["overhead"]["fraction_of_wall"] < 0.40
 
+    def test_phases_reconcile_with_handlers_under_packet_tracer(
+        self, profiled_results
+    ):
+        """Profiling and span tracing together: the packet tracer wraps every
+        node's on_ingress, so ingress events dispatch under the wrapper's
+        qualname and their phases must file under that root, with the same
+        per-phase counts as the unwrapped run."""
+        traced = Runner(jobs=1, profile=True, trace=True).run(_grid()[:1])[0]
+        by_type = traced.profile()["by_type"]
+        phases = traced.profile()["phases"]
+        plain = profiled_results[0].profile()["by_type"]
+
+        def count(suffix):
+            return sum(s["count"] for p, s in phases.items() if p.endswith(suffix))
+
+        roots = {path.partition(";")[0] for path in phases}
+        assert roots <= set(by_type)
+        ingress_roots = {
+            p.partition(";")[0] for p in phases if p.endswith((";p4_pipeline", ";demux"))
+        }
+        assert any("traced_ingress" in root for root in ingress_roots)
+        for root in ingress_roots:
+            assert by_type[root]["count"] == (
+                phases.get(f"{root};p4_pipeline", {}).get("count", 0)
+                + phases.get(f"{root};demux", {}).get("count", 0)
+            ), root
+        assert count(";p4_pipeline") == plain["Switch.on_ingress"]["count"]
+        assert count(";demux") == plain["Host.on_ingress"]["count"]
+        tx = by_type["Port._tx_complete"]["count"]
+        assert count("Port._tx_complete;propagate") == tx
+        assert count("Port._tx_complete;dequeue") == tx
+
     def test_mem_profile_memory_in_summary(self):
         runner = Runner(jobs=1, mem_profile=True)
         runner.run(_grid()[:1])

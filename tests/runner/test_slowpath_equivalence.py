@@ -1,9 +1,8 @@
 """Fast path vs oracle path: byte-identical exports on the fig5 smoke grid.
 
-``REPRO_SLOWPATH=1`` disables both fast-path engines — the compiled
-per-(switch, packet-class) forwarding closures and NIC transmit coalescing —
-leaving the staged ``PipelineContext`` pipeline and the per-frame TX path as
-the oracle.  The tentpole acceptance bar: the full Fig. 5 smoke grid must
+``REPRO_SLOWPATH=1`` disables the compiled per-(switch, packet-class)
+forwarding closures, leaving the staged ``PipelineContext`` pipeline as the
+oracle.  The tentpole acceptance bar: the full Fig. 5 smoke grid must
 export byte-identical payloads either way.  The env var is read at network
 build time, so flipping it between serial in-process runs is enough.
 """
@@ -15,6 +14,22 @@ from repro.runner import Runner
 from repro.runner.bench import bench_grid_specs
 
 pytestmark = pytest.mark.slow
+
+
+def _one_switch_network():
+    from repro.simnet.engine import Simulator
+    from repro.simnet.random import RandomStreams
+    from repro.simnet.topology import Network
+    from repro.units import mbps, ms
+
+    net = Network(Simulator(), RandomStreams(0))
+    net.add_host("h1")
+    net.add_host("h2")
+    net.add_switch("s01")
+    net.attach_host("h1", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
+    net.attach_host("h2", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
+    net.finalize()
+    return net
 
 
 @pytest.fixture(scope="module")
@@ -32,24 +47,17 @@ class TestSlowpathEquivalence:
 
     def test_fast_path_engages_by_default(self, monkeypatch):
         """Guard against silently testing slow-vs-slow: a default-built
-        switch carries compiled closures and its ports may coalesce."""
+        switch carries compiled closures."""
         monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
-        from repro.simnet.engine import Simulator
-        from repro.simnet.random import RandomStreams
-        from repro.simnet.topology import Network
-        from repro.units import mbps, ms
-
-        net = Network(Simulator(), RandomStreams(0))
-        net.add_host("h1")
-        net.add_host("h2")
-        net.add_switch("s01")
-        net.attach_host("h1", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
-        net.attach_host("h2", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
-        net.finalize()
-        switch = net.switch("s01")
+        switch = _one_switch_network().switch("s01")
         assert switch._fast_ingress is not None
         assert switch._fast_egress is not None
-        assert net.host("h1").ports[0]._coalesce is True
+
+    def test_slowpath_disables_closures(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOWPATH", "1")
+        switch = _one_switch_network().switch("s01")
+        assert switch._fast_ingress is None
+        assert switch._fast_egress is None
 
 
 class TestCompileRefusals:

@@ -362,11 +362,10 @@ class TestPhaseScopes:
         prof = sim.profiler
 
         def handler():
-            prof.phase_first("work")
             acc = 0
             for i in range(5000):
                 acc += i
-            prof.phase_end()
+            prof.lap("work")
 
         for t in range(1, 51):
             sim.schedule(float(t), handler)
@@ -378,61 +377,80 @@ class TestPhaseScopes:
         # clock quantization noise).
         assert child_wall <= summary["by_type"][handler_key]["wall_s"] * 1.01
 
-    def test_phase_first_backdates_to_event_start(self):
-        """phase_first charges the handler's entry bookkeeping to the first
-        scope: coverage of a fully-scoped handler lands near 1.0, which a
+    def test_lap_backdates_to_event_start(self):
+        """The first lap charges the handler's entry bookkeeping to its
+        phase: coverage of a fully-lapped handler lands near 1.0, which a
         plain phase_begin cannot achieve."""
         sim = self._profiled_sim()
         prof = sim.profiler
 
         def handler():
-            prof.phase_first("all")
             acc = 0
             for i in range(2000):
                 acc += i
-            prof.phase_end()
+            prof.lap("all")
 
         for t in range(1, 201):
             sim.schedule(float(t), handler)
         sim.run()
         summary = sim.profiler.summary()
-        assert sim.profiler.phase_firsts == 200
+        assert sim.profiler.laps == 200
         handler_key = next(k for k in summary["by_type"] if "handler" in k)
         coverage = summary["phase_coverage"][handler_key]
         assert 0.95 <= coverage <= 1.01
 
-    def test_phase_first_nested_falls_back_to_begin(self):
+    def test_lap_reads_clock_once(self, monkeypatch):
+        import repro.simnet.engine as engine_mod
+
+        reads = []
+        real = engine_mod._perf_counter
+
+        def counting_clock():
+            reads.append(1)
+            return real()
+
+        # The engine loop keeps its own clock binding, so only the
+        # profiler's reads are counted.
+        monkeypatch.setattr(engine_mod, "_perf_counter", counting_clock)
         sim = self._profiled_sim()
         prof = sim.profiler
 
         def handler():
-            prof.phase_begin("outer")
-            prof.phase_first("nested")  # stack non-empty: plain begin
-            prof.phase_end()
-            prof.phase_end()
+            prof.lap("a", "b")
+            prof.lap("b", "c")
+            prof.lap("c")
 
-        sim.schedule(1.0, handler)
+        for t in range(1, 6):
+            sim.schedule(float(t), handler)
         sim.run()
-        assert sim.profiler.phase_firsts == 0
-        phases = sim.profiler.summary()["phases"]
-        assert any(p.endswith(";outer;nested") for p in phases)
+        assert len(reads) == prof.laps == 15
 
-    def test_phase_next_closes_and_opens_sibling(self):
+    def test_lap_roots_nested_scopes_at_then(self):
         sim = self._profiled_sim()
         prof = sim.profiler
 
         def handler():
-            prof.phase_first("a")
-            prof.phase_next("b")
-            prof.phase_next("c")
+            prof.lap("", "first")  # records nothing, roots the first phase
+            prof.phase_begin("inner")
+            prof.phase_end()
+            prof.lap("first", "second")
+            prof.phase_begin("inner")
+            prof.phase_end()
+            prof.lap("second")
+            prof.phase_begin("after")
             prof.phase_end()
 
         sim.schedule(1.0, handler)
         sim.run()
-        assert sim.profiler.phase_nexts == 2
-        phases = sim.profiler.summary()["phases"]
-        names = {p.rpartition(";")[2] for p in phases}
-        assert {"a", "b", "c"} <= names
+        assert sim.profiler.laps == 2
+        root = next(k for k in sim.profiler.by_type if "handler" in k)
+        assert set(sim.profiler.phases) == {
+            f"{root};first",
+            f"{root};first;inner",
+            f"{root};second",
+            f"{root};second;inner",
+            f"{root};after",
+        }
 
     def test_unbalanced_scope_dropped_between_events(self):
         sim = self._profiled_sim()
@@ -460,17 +478,18 @@ class TestPhaseScopes:
         prof = sim.profiler
 
         def handler():
-            prof.phase_first("a")
-            prof.phase_next("b")
+            prof.lap("a", "b")
+            prof.phase_begin("nested")
             prof.phase_end()
+            prof.lap("b")
 
         for t in range(1, 11):
             sim.schedule(float(t), handler)
         sim.run()
         overhead = sim.profiler.overhead_estimate()
-        assert overhead["phase_pairs"] == 20  # two scopes per event
-        # 2*pairs - firsts - nexts = 40 - 10 - 10
-        assert overhead["clock_reads"] == 20
+        assert overhead["phase_pairs"] == 30  # three phases per event
+        # 2*pairs - laps = 60 - 20: one read per lap, two per begin/end
+        assert overhead["clock_reads"] == 40
         assert overhead["total_s"] >= 0.0
         assert 0.0 <= overhead["fraction_of_wall"]
         assert overhead["per_read_s"] >= 0.0
@@ -514,8 +533,7 @@ class TestPhaseScopes:
         prof = sim.profiler
 
         def handler():
-            prof.phase_first("stage")
-            prof.phase_end()
+            prof.lap("stage")
 
         sim.schedule(1.0, handler)
         sim.run()

@@ -52,6 +52,24 @@ class TestServiceJitter:
         assert all(0.85 <= f <= 1.15 for f in factors)
         assert np.mean(factors) == pytest.approx(1.0, abs=0.01)
 
+    def test_block_draws_match_scalar_draws(self, sim):
+        """Service factors and clock noise are prefetched in blocks; across
+        several refills they equal per-call scalar draws from the same
+        stream, and leave the stream in the same state at a block edge."""
+        node = Node(sim, "n", 1)
+        node.set_service_jitter(0.15, RandomStreams(4).get("s"))
+        clock = Clock(sim, jitter_std=1e-4, rng=RandomStreams(4).get("c"))
+        scalar_s = RandomStreams(4).get("s")
+        scalar_c = RandomStreams(4).get("c")
+        assert [node.service_time_factor() for _ in range(1024)] == [
+            1.0 + 0.15 * (2.0 * scalar_s.random() - 1.0) for _ in range(1024)
+        ]
+        assert [clock.read() for _ in range(512)] == [
+            scalar_c.normal(0.0, 1e-4) for _ in range(512)
+        ]
+        assert node._service_rng.random() == scalar_s.random()
+        assert clock._rng.normal() == scalar_c.normal()
+
     def test_invalid_jitter_rejected(self, sim):
         node = Node(sim, "n", 1)
         rng = RandomStreams(0).get("s")
