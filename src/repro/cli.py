@@ -376,17 +376,47 @@ def _write_obs(reporter: "_Reporter", obs_out: Optional[str], records) -> None:
     reporter.emit(f"observability: {total} records written to {obs_out}")
 
 
-def _warn_obs_unsupported(reporter: _Reporter, args: argparse.Namespace) -> None:
-    if getattr(args, "obs_out", None):
-        reporter.emit(
-            "note: --obs-out is currently captured by the 'compare' and "
-            "'reproduce' commands only; ignoring it here"
-        )
+# Observatory flags whose records ride only on the --obs-out export:
+# (argparse dest, flag, value when off).
+_OBS_EXPORT_FLAGS = (
+    ("sample_interval", "--sample-interval", None),
+    ("telquality", "--telquality", False),
+    ("whatif", "--whatif", False),
+)
+
+
+def _drop_unexported_obs(
+    reporter: _Reporter, args: argparse.Namespace, *, exports_obs: bool
+) -> None:
+    """Clear every observability flag whose records this invocation would
+    collect and then discard, with one note naming them.  Only 'compare'
+    and 'reproduce' write --obs-out, and only when it is given; a cleared
+    flag is never stamped on the specs, so no collection runs and the
+    plain cache entries are reused.  Call before building the runner."""
+    ignored = []
+    if args.obs_out and not exports_obs:
+        ignored.append("--obs-out")
+        args.obs_out = None
+    if not args.obs_out:
+        for attr, flag, off in _OBS_EXPORT_FLAGS:
+            if getattr(args, attr) != off:
+                ignored.append(flag)
+                setattr(args, attr, off)
+    if not ignored:
+        return
+    reason = (
+        "their records ride only on the --obs-out export (pass --obs-out "
+        "PATH to keep them)"
+        if exports_obs
+        else "observability exports are written by the 'compare' and "
+        "'reproduce' commands only"
+    )
+    reporter.emit(f"note: ignoring {', '.join(ignored)}: {reason}")
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     reporter = _Reporter(args.out)
-    _warn_obs_unsupported(reporter, args)
+    _drop_unexported_obs(reporter, args, exports_obs=False)
     runner = _runner_from_args(args)
     points = run_calibration_sweep(
         tuple(args.levels), duration=args.duration, seed=args.seed,
@@ -405,6 +435,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = replace(base, scale=SCALES[args.scale], seed=args.seed)
     config = _apply_faults(config, args)
     classes = tuple(_CLASSES[c] for c in args.classes)
+    _drop_unexported_obs(reporter, args, exports_obs=True)
     runner = _runner_from_args(args)
     comparison = run_comparison(
         config,
@@ -423,7 +454,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     reporter = _Reporter(args.out)
-    _warn_obs_unsupported(reporter, args)
+    _drop_unexported_obs(reporter, args, exports_obs=False)
     runner = _runner_from_args(args)
     sweeps = [
         run_probing_sweep(
@@ -442,7 +473,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.experiments.sensitivity import sweep_k, sweep_probing_parameter
 
     reporter = _Reporter(args.out)
-    _warn_obs_unsupported(reporter, args)
+    _drop_unexported_obs(reporter, args, exports_obs=False)
     base = replace(
         ExperimentConfig(workload="serverless", metric="delay",
                          size_class=_CLASSES[args.size_class]),
@@ -471,6 +502,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     calib_duration = {"smoke": 20.0, "quick": 30.0, "full": 300.0}[args.scale]
     intervals = (0.1, 30.0) if args.scale == "smoke" else DEFAULT_INTERVALS
     started = time.time()
+    _drop_unexported_obs(reporter, args, exports_obs=True)
     runner = _runner_from_args(args)
 
     reporter.emit(f"# Reproduction report (scale={args.scale}, seed={args.seed})")
@@ -537,6 +569,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     if args.run:
         plan = resolve_plan(args.run)
         config = ExperimentConfig(scale=SCALES[args.scale], seed=args.seed)
+        _drop_unexported_obs(reporter, args, exports_obs=False)
         runner = _runner_from_args(args)
         rows = compare_degradation(plan, base_config=config, runner=runner)
         reporter.emit(render_fault_comparison(plan, rows))
@@ -727,81 +760,59 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_obs_report(args: argparse.Namespace) -> int:
+def _read_records(path: str):
+    """The records of a JSONL export, or None after printing why they
+    cannot be read (the report commands then exit 2)."""
     import json
 
-    from repro.obs.export import read_jsonl, render_obs_report
+    from repro.obs.export import read_jsonl
 
     try:
-        records = read_jsonl(args.path)
+        return read_jsonl(path)
     except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
+        print(f"error: no such file: {path}", file=sys.stderr)
     except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
+        print(f"error: {path} is not JSONL: {exc}", file=sys.stderr)
+    return None
+
+
+def _render_report(args: argparse.Namespace, title: str, render) -> int:
+    """Read an export, then print ``title`` and ``render(records)``."""
+    records = _read_records(args.path)
+    if records is None:
         return 2
     reporter = _Reporter(args.out)
-    reporter.emit(f"observability report — {args.path}")
-    reporter.emit(render_obs_report(records))
+    reporter.emit(f"{title} — {args.path}")
+    reporter.emit(render(records))
     reporter.close()
     return 0
+
+
+def cmd_obs_report(args: argparse.Namespace) -> int:
+    from repro.obs.export import render_obs_report
+
+    return _render_report(args, "observability report", render_obs_report)
 
 
 def cmd_telemetry_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import read_jsonl
     from repro.obs.telquality import render_telemetry_report
 
-    try:
-        records = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
-        return 2
-    reporter = _Reporter(args.out)
-    reporter.emit(f"telemetry-quality report — {args.path}")
-    reporter.emit(render_telemetry_report(records))
-    reporter.close()
-    return 0
+    return _render_report(
+        args, "telemetry-quality report", render_telemetry_report
+    )
 
 
 def cmd_whatif_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import read_jsonl
     from repro.obs.whatif import render_whatif_report
 
-    try:
-        records = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
-        return 2
-    reporter = _Reporter(args.out)
-    reporter.emit(f"what-if replay report — {args.path}")
-    reporter.emit(render_whatif_report(records))
-    reporter.close()
-    return 0
+    return _render_report(args, "what-if replay report", render_whatif_report)
 
 
 def cmd_trace_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import read_jsonl
     from repro.obs.tracing import render_trace_report, write_chrome_trace
 
-    try:
-        records = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
+    records = _read_records(args.path)
+    if records is None:
         return 2
     reporter = _Reporter(args.out)
     reporter.emit(f"trace report — {args.path}")
@@ -817,18 +828,10 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.dashboard import write_dashboard
-    from repro.obs.export import read_jsonl
 
-    try:
-        records = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
+    records = _read_records(args.path)
+    if records is None:
         return 2
     out = args.html_out or (args.path + ".html")
     write_dashboard(records, out, title=args.title or f"repro — {args.path}")

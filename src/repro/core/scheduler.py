@@ -124,10 +124,10 @@ class SchedulerService:
     # -- observability -----------------------------------------------------
 
     def _audit_decision(self, obs, requester_addr: int, metric: str, ranking) -> None:
-        """Record one ranking query in the decision audit trail.  The base
-        record carries every candidate's value and, when a ground-truth
-        oracle is attached, the true path delay at decision time; the
-        network-aware subclass adds the per-hop estimate breakdown."""
+        """Hand one ranking query to the hub's decision hook.  Each
+        candidate carries its value, the policy's explanation (see
+        :meth:`_explain_candidate`) and, when a ground-truth oracle is
+        attached, the true path delay at decision time."""
         truth = obs.ground_truth
         candidates = []
         for addr, value in ranking:
@@ -135,24 +135,25 @@ class SchedulerService:
                 "server_addr": addr,
                 "value": list(value) if isinstance(value, tuple) else value,
             }
+            self._explain_candidate(cand, requester_addr, addr, metric)
             if truth is not None:
                 cand["truth_delay"] = truth.true_delay_between(requester_addr, addr)
             candidates.append(cand)
         # Raw rankings are unsorted — the device chooses, not the scheduler.
-        chosen = ranking[0][0] if ranking and metric != METRIC_RAW else None
-        decision = obs.audit.record(
+        obs.decision(
             requester_addr=requester_addr,
             metric=metric,
             candidates=candidates,
-            chosen_addr=chosen,
+            chosen_addr=ranking[0][0] if ranking and metric != METRIC_RAW else None,
+            # Baselines consult no telemetry store.
+            store=getattr(self, "store", None),
         )
-        # Counterfactual replay prices audited delay decisions only.
-        # Baselines consult no telemetry store, so staleness is unknown.
-        whatif = getattr(obs, "whatif", None)
-        if whatif is not None and decision is not None and metric == METRIC_DELAY:
-            whatif.decision(
-                self.host.sim.now, getattr(self, "store", None), candidates, chosen
-            )
+
+    def _explain_candidate(
+        self, cand: Dict[str, object], requester_addr: int, addr: int, metric: str
+    ) -> None:
+        """Add the policy's reasoning for one candidate to its audit
+        record; baselines rank without telemetry and add nothing."""
 
     def _trace_decision(
         self, obs, requester_addr: int, metric: str, ranking, request_id: int
@@ -306,53 +307,21 @@ class NetworkAwareScheduler(SchedulerService):
         ranked.sort(key=lambda item: (-item[1], item[0]))
         return ranked
 
-    def _audit_decision(self, obs, requester_addr: int, metric: str, ranking) -> None:
-        """Algorithm 1's full working: per candidate, the per-hop Q(h) and
-        link-delay (or utilization) terms behind the estimate, plus ground
-        truth along the *estimated* path when an oracle is attached."""
+    def _explain_candidate(
+        self, cand: Dict[str, object], requester_addr: int, addr: int, metric: str
+    ) -> None:
+        """Algorithm 1's full working: the per-hop Q(h) and link-delay (or
+        utilization) terms behind the estimate, along the estimated path."""
         from repro.core.ranking import explain_bandwidth, explain_delay
 
-        origin = host_node(requester_addr)
-        truth = obs.ground_truth
-        candidates = []
-        for addr, value in ranking:
-            cand: Dict[str, object] = {
-                "server_addr": addr,
-                "value": list(value) if isinstance(value, tuple) else value,
-            }
-            node = host_node(addr)
-            if metric == METRIC_DELAY:
-                detail = explain_delay(self.delay_estimator, origin, node)
-                cand["estimated_delay"] = detail["value"]
-            elif metric == METRIC_BANDWIDTH:
-                detail = explain_bandwidth(self.bandwidth_estimator, origin, node)
-            else:  # raw: both estimates ride in value; explain the delay side
-                detail = explain_delay(self.delay_estimator, origin, node)
-                cand["estimated_delay"] = detail["value"]
-            cand["path"] = detail["path"]
-            cand["hops"] = detail["hops"]
-            if truth is not None:
-                cand["truth_delay"] = truth.true_delay_between(requester_addr, addr)
-            candidates.append(cand)
-        chosen = ranking[0][0] if ranking and metric != METRIC_RAW else None
-        decision = obs.audit.record(
-            requester_addr=requester_addr,
-            metric=metric,
-            candidates=candidates,
-            chosen_addr=chosen,
-        )
-        # Telemetry-quality attribution mirrors the audit exactly: only
-        # decisions the (bounded) audit stored, only the delay metric the
-        # error report aggregates, read from the same candidate dicts.
-        telquality = getattr(obs, "telquality", None)
-        if telquality is not None and decision is not None and metric == METRIC_DELAY:
-            telquality.decision(self.host.sim.now, self.store, candidates)
-        # Counterfactual replay shares the same gating: audited delay
-        # decisions, with truth and hop ages read per candidate at
-        # decision time — every candidate, not just the chosen one.
-        whatif = getattr(obs, "whatif", None)
-        if whatif is not None and decision is not None and metric == METRIC_DELAY:
-            whatif.decision(self.host.sim.now, self.store, candidates, chosen)
+        origin, node = host_node(requester_addr), host_node(addr)
+        if metric == METRIC_BANDWIDTH:
+            detail = explain_bandwidth(self.bandwidth_estimator, origin, node)
+        else:  # delay, or raw (both estimates ride in value): the delay side
+            detail = explain_delay(self.delay_estimator, origin, node)
+            cand["estimated_delay"] = detail["value"]
+        cand["path"] = detail["path"]
+        cand["hops"] = detail["hops"]
 
     def _trace_decision(
         self, obs, requester_addr: int, metric: str, ranking, request_id: int

@@ -356,16 +356,12 @@ def run_experiment(config: ExperimentConfig, *, obs=None, profiler=None) -> Expe
         # policies pay the same probing cost.
         collector = IntCollector(net.host(topo.scheduler_name))
     _senders, probe_pairs = _setup_probing(config, topo, collector)
-    telquality = getattr(obs, "telquality", None) if obs else None
-    if telquality is not None:
-        telquality.configure(
+    if obs:
+        obs.configure_probing(
             layout=config.probe_layout,
             pairs=probe_pairs,
             probing_interval=config.probing_interval,
         )
-    whatif = getattr(obs, "whatif", None) if obs else None
-    if whatif is not None:
-        whatif.configure(probing_interval=config.probing_interval)
 
     # Workload plan (policy-independent given the seed).
     spec = WorkloadSpec(

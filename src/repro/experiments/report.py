@@ -20,7 +20,7 @@ __all__ = [
 
 def ascii_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Minimal fixed-width table renderer."""
-    str_rows = [[_fmt(cell) for cell in row] for row in rows]
+    str_rows = [[_fmt_cell(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):
@@ -32,7 +32,7 @@ def ascii_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str
     return "\n".join(lines)
 
 
-def _fmt(cell: object) -> str:
+def _fmt_cell(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)

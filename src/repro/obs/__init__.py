@@ -12,7 +12,8 @@ experimenter.  One :class:`Observability` hub per run bundles:
 
 Instrumented call sites read ``sim.obs`` (``None`` when disabled) and guard
 with one truthy check, so a run without observability pays nothing beyond
-that check.  Attach with::
+that check.  Simulation code calls only hub methods; the hub fans each
+call out to the opt-in observatories it owns.  Attach with::
 
     obs = Observability(run={"policy": "aware"})
     obs.bind_sim(sim)          # wires sim.obs and the sim-time clock
@@ -146,8 +147,8 @@ class Observability:
         self.health: Optional[HealthMonitor] = None
         self._health_rules = health_rules
         # Telemetry-quality observatory — opt-in like tracing and sampling:
-        # None unless requested, so instrumented call sites guard with one
-        # getattr and a disabled run exports a byte-identical record stream.
+        # None unless requested, so a disabled run exports a byte-identical
+        # record stream.
         self.telquality: Optional[TelemetryQuality] = (
             TelemetryQuality() if telquality else None
         )
@@ -354,6 +355,18 @@ class Observability:
         if rules:
             self.health = HealthMonitor(rules, self.events)
 
+    def configure_probing(
+        self, *, layout: str, pairs: Any, probing_interval: float
+    ) -> None:
+        """Hand the run's probe layout and interval to the observatories
+        that grade against them (called once probing is set up)."""
+        if self.telquality is not None:
+            self.telquality.configure(
+                layout=layout, pairs=pairs, probing_interval=probing_interval
+            )
+        if self.whatif is not None:
+            self.whatif.configure(probing_interval=probing_interval)
+
     def sample_tick(self, sim: Any) -> None:
         """One sampler tick: run every registered sampler at ``sim.now`` and
         evaluate health rules against the values just recorded.  Scheduled
@@ -387,6 +400,33 @@ class Observability:
             is_probe=is_probe,
         )
 
+    def decision(
+        self,
+        *,
+        requester_addr: int,
+        metric: str,
+        candidates: List[Dict[str, Any]],
+        chosen_addr: Optional[int],
+        store: Optional[Any],
+    ) -> None:
+        """One scheduler ranking query: audit it, then hand it to the
+        decision observatories.  Those see exactly what the error report
+        aggregates: decisions the bounded audit stored, delay metric only.
+        Telemetry quality grades the scheduler's ``store``; baselines have
+        none (``store=None``), so they reach the counterfactual replay only."""
+        stored = self.audit.record(
+            requester_addr=requester_addr,
+            metric=metric,
+            candidates=candidates,
+            chosen_addr=chosen_addr,
+        )
+        if stored is None or metric != "delay":
+            return
+        if self.telquality is not None and store is not None:
+            self.telquality.decision(stored.time, store, candidates)
+        if self.whatif is not None:
+            self.whatif.decision(stored.time, store, candidates, chosen_addr)
+
     def _probe_sampled(self) -> bool:
         self._probe_tick += 1
         return self._probe_tick % self.probe_sample == 0
@@ -396,12 +436,20 @@ class Observability:
         if self._probe_sampled():
             self.events.probe_sent(src=src, dst=dst, seq=seq, sampled=self.probe_sample)
 
-    def probe_received(self, *, src: int, dst: int, seq: int, hops: int) -> None:
+    def probe_received(self, report: Any) -> None:
+        """One decoded probe report: count it, sample it into the event log,
+        stage its trace span, and stamp the telemetry-quality ledger."""
+        src, dst, seq = report.probe_src, report.probe_dst, report.seq
+        hops = len(report.records)
         self.metrics.counter("probe_reports_ingested_total").inc()
         if self._probe_sampled():
             self.events.probe_received(
                 src=src, dst=dst, seq=seq, hops=hops, sampled=self.probe_sample
             )
+        if self.trace is not None and self.trace.wants_probe(seq):
+            self.trace.probe_ingested(src=src, dst=dst, seq=seq, hops=hops)
+        if self.telquality is not None:
+            self.telquality.report_ingested(report)
 
     def probe_lost(self, *, src: int, dst: int, seq: int, lost: int) -> None:
         self.metrics.counter("probes_lost_total").inc(lost)
@@ -456,11 +504,7 @@ class Observability:
         # above, and appending keeps every earlier kind byte-identical.
         if self.whatif is not None:
             records += self.whatif.snapshot_records(self.audit, self.events)
-        if self.run:
-            run = dict(self.run)
-            for record in records:
-                record["run"] = run
-        return records
+        return self._labeled(records)
 
     def trace_records(self) -> List[Dict[str, Any]]:
         """Every assembled span, JSON-ready, run labels attached.  Kept
@@ -468,7 +512,10 @@ class Observability:
         the pre-existing obs export byte stream."""
         if self.trace is None:
             return []
-        records = self.trace.snapshot()
+        return self._labeled(self.trace.snapshot())
+
+    def _labeled(self, records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Attach this hub's run labels to every record."""
         if self.run:
             run = dict(self.run)
             for record in records:

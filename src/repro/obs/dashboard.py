@@ -44,6 +44,8 @@ import html
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import _fmt
+
 __all__ = ["render_dashboard", "write_dashboard"]
 
 SPARK_W = 260
@@ -66,15 +68,6 @@ svg { background: #fff; border: 1px solid #ddd; }
 .empty { color: #999; font-style: italic; }
 .fire { fill: #c0392b; } .bar { fill: #e67e22; }
 """
-
-
-def _fmt(value: Any) -> str:
-    """One float format for every number in the page (determinism)."""
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def _esc(value: Any) -> str:
@@ -534,6 +527,28 @@ def _whatif_policies(record: Dict[str, Any]) -> str:
     return "".join(parts)
 
 
+_NO_TELQUALITY = (
+    '<p class="empty">no telemetry-quality records '
+    "(run with --telquality and --obs-out)</p>"
+)
+_NO_WHATIF = (
+    '<p class="empty">no what-if records '
+    "(run with --whatif and --obs-out)</p>"
+)
+
+# Observatory panels, in page order: (heading, record kind, one panel per
+# record, placeholder).  Exports made without the observatory still render
+# (placeholders, exit 0), like every other optional section.
+_OBSERVATORY_PANELS = (
+    ("Telemetry coverage", "telquality", _telquality_coverage, _NO_TELQUALITY),
+    ("Telemetry freshness", "telquality", _telquality_freshness, _NO_TELQUALITY),
+    ("Error vs telemetry age", "telquality", _telquality_attribution,
+     _NO_TELQUALITY),
+    ("Regret CDF", "whatif", _whatif_cdf, _NO_WHATIF),
+    ("Policy comparison", "whatif", _whatif_policies, _NO_WHATIF),
+)
+
+
 def _timeseries_of(
     records: List[Dict[str, Any]], name: str
 ) -> List[Dict[str, Any]]:
@@ -645,51 +660,12 @@ def render_dashboard(
             "--obs-out)</p>"
         )
 
-    # Telemetry-quality panels: absent on pre-observatory exports, which
-    # still render (placeholders, exit 0) — backward compatibility is the
-    # same placeholder path as every other optional section.
-    telquality = sorted(
-        (r for r in records if r.get("kind") == "telquality"),
-        key=_run_key,
-    )
-    no_telquality = (
-        '<p class="empty">no telemetry-quality records '
-        "(run with --telquality and --obs-out)</p>"
-    )
-    parts.append("<h2>Telemetry coverage</h2>")
-    if telquality:
-        parts.extend(_telquality_coverage(r) for r in telquality)
-    else:
-        parts.append(no_telquality)
-    parts.append("<h2>Telemetry freshness</h2>")
-    if telquality:
-        parts.extend(_telquality_freshness(r) for r in telquality)
-    else:
-        parts.append(no_telquality)
-    parts.append("<h2>Error vs telemetry age</h2>")
-    if telquality:
-        parts.extend(_telquality_attribution(r) for r in telquality)
-    else:
-        parts.append(no_telquality)
-
-    whatif = sorted(
-        (r for r in records if r.get("kind") == "whatif"),
-        key=_run_key,
-    )
-    no_whatif = (
-        '<p class="empty">no what-if records '
-        "(run with --whatif and --obs-out)</p>"
-    )
-    parts.append("<h2>Regret CDF</h2>")
-    if whatif:
-        parts.extend(_whatif_cdf(r) for r in whatif)
-    else:
-        parts.append(no_whatif)
-    parts.append("<h2>Policy comparison</h2>")
-    if whatif:
-        parts.extend(_whatif_policies(r) for r in whatif)
-    else:
-        parts.append(no_whatif)
+    for heading, kind, panel, placeholder in _OBSERVATORY_PANELS:
+        parts.append(f"<h2>{heading}</h2>")
+        observed = sorted(
+            (r for r in records if r.get("kind") == kind), key=_run_key
+        )
+        parts.extend([panel(r) for r in observed] or [placeholder])
 
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"

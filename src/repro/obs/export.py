@@ -112,8 +112,25 @@ def write_metrics_csv(records: Iterable[Dict[str, Any]], path: str) -> int:
 # -- obs-report rendering ---------------------------------------------------
 
 
+# Report helpers shared by every text report (obs, trace, telemetry,
+# what-if) and the dashboard.
+
+
 def _run_key(record: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     return tuple(sorted(record.get("run", {}).items()))
+
+
+def _run_title(key: Tuple[Tuple[str, Any], ...]) -> str:
+    return ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
+
+
+def _fmt(value: Any) -> str:
+    """One float format for report and dashboard numbers (determinism)."""
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 def _fmt_ms(value: Any) -> str:
@@ -210,9 +227,7 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
         lines.append("completion-time quantiles (per run, merged digests):")
         for key in sorted(digest_runs):
             digest = digest_runs[key]
-            label = (
-                ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-            )
+            label = _run_title(key)
             p50, p95, p99 = digest.quantiles((0.50, 0.95, 0.99))
             lines.append(
                 f"  {label}: n={digest.count} "
@@ -259,9 +274,7 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
         lines.append("probe loss (collector seq gaps):")
         for key in sorted(loss_runs):
             events = loss_runs[key]
-            label = (
-                ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-            )
+            label = _run_title(key)
             total = sum(int(e.get("lost", 0)) for e in events)
             by_pair: Dict[Tuple[str, str], Dict[str, int]] = {}
             for e in events:
@@ -292,9 +305,7 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
         lines.append("decision audit overflow (records dropped past capacity):")
         for r in overflow:
             key = _run_key(r)
-            label = (
-                ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-            )
+            label = _run_title(key)
             lines.append(
                 f"  {label}: {r.get('dropped', '?')} decisions dropped "
                 f"(cap {r.get('max_decisions', '?')}) — audit sections below "
@@ -310,9 +321,7 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
         lines.append("decision audit (estimate vs ground truth, delay metric):")
         for key in sorted(runs):
             decisions = runs[key]
-            label = (
-                ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-            )
+            label = _run_title(key)
             stats = delay_error_stats(
                 c
                 for d in decisions

@@ -29,8 +29,9 @@ export, so a run with collection enabled produces a byte-identical prefix.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.obs.export import _fmt, _run_key, _run_title
 from repro.obs.quantiles import QuantileDigest
 from repro.telemetry.coverage import DirectedPort, all_fabric_ports, coverage_of
 
@@ -83,15 +84,126 @@ def _merge_windows(
     return merged
 
 
+def _hop_ages(now: float, store: Any, path: Optional[Sequence[Any]]) -> List[float]:
+    """Telemetry age at ``now`` of each hop along one candidate's explained
+    path, for hops the store has a report for.  The explanation flattens
+    node ids to "kind:index" labels (see ranking._node_label); they are
+    parsed back for the store lookups."""
+    nodes = [_parse_label(label) for label in path or []]
+    ages: List[float] = []
+    for u, v in zip(nodes, nodes[1:]):
+        if u is None or v is None:
+            continue
+        state = store.link_state(u, v)
+        if state is None:
+            continue
+        # updated_at defaults to -1.0 until the first report.
+        updated = max(state.latency_updated_at, state.qdepth_updated_at)
+        if updated >= 0.0:
+            ages.append(now - updated)
+    return ages
+
+
+# -- attribution shared with the counterfactual observatory ------------------
+#
+# Samples are ``(decision time, value, stalest hop age or None)`` triples;
+# ``stats`` summarizes one bucket of values (``_error_stats`` here, the
+# regret stats in repro.obs.whatif), so each record keeps its own keys.
+
+
+def _age_bins(
+    samples: Sequence[Tuple[float, float, Optional[float]]],
+    interval: float,
+    stats: Callable[[List[float]], Dict[str, Any]],
+) -> List[Dict[str, Any]]:
+    """Values binned by age in probing-interval multiples over
+    :data:`AGE_BIN_EDGES` plus an open tail, then an ``unknown`` bin."""
+    bins = []
+    edges = list(AGE_BIN_EDGES) + [math.inf]
+    for lo_m, hi_m in zip(edges, edges[1:]):
+        lo, hi = lo_m * interval, hi_m * interval
+        values = [v for _t, v, age in samples if age is not None and lo <= age < hi]
+        tail = not math.isfinite(hi_m)
+        bins.append({
+            "label": f">= {lo_m:g}x" if tail else f"[{lo_m:g}x, {hi_m:g}x)",
+            "lo_multiple": lo_m,
+            "hi_multiple": None if tail else hi_m,
+            **stats(values),
+        })
+    unknown = [v for _t, v, age in samples if age is None]
+    bins.append(
+        {"label": "unknown", "lo_multiple": None, "hi_multiple": None, **stats(unknown)}
+    )
+    return bins
+
+
+def _events_of(events: Any, kind: str) -> List[Tuple[float, Dict[str, Any]]]:
+    """``(time, fields)`` pairs for one event kind, from either a live
+    :class:`~repro.obs.events.EventLog` or a list of exported record dicts
+    (where event fields are flattened into the record)."""
+    if events is None:
+        return []
+    if hasattr(events, "of_kind"):
+        return [(e.time, e.fields) for e in events.of_kind(kind)]
+    return [
+        (float(r.get("time", 0.0)), r)
+        for r in events
+        if r.get("kind") == "event" and r.get("event") == kind
+    ]
+
+
+def _loss_windows(events: Any, interval: float) -> List[Tuple[float, float]]:
+    windows = [
+        (max(0.0, t - LOSS_WINDOW_INTERVALS * interval), t)
+        for t, _fields in _events_of(events, "probe_lost")
+    ]
+    return _merge_windows(windows)
+
+
+def _fault_windows(events: Any) -> List[Tuple[float, float]]:
+    """[injected, recovered] per (fault, target); unrecovered faults stay
+    open to the end of the run."""
+    injected: Dict[Tuple[Any, Any], List[float]] = {}
+    recovered: Dict[Tuple[Any, Any], List[float]] = {}
+    for t, fields in _events_of(events, "fault_injected"):
+        injected.setdefault((fields.get("fault"), fields.get("target")), []).append(t)
+    for t, fields in _events_of(events, "fault_recovered"):
+        recovered.setdefault((fields.get("fault"), fields.get("target")), []).append(t)
+    windows: List[Tuple[float, float]] = []
+    for key, starts in injected.items():
+        ends = sorted(recovered.get(key, []))
+        for start in sorted(starts):
+            end = next((t for t in ends if t >= start), math.inf)
+            windows.append((start, end))
+    return _merge_windows(windows)
+
+
+def _window_split(
+    samples: Sequence[Tuple[float, float, Optional[float]]],
+    windows: List[Tuple[float, float]],
+    stats: Callable[[List[float]], Dict[str, Any]],
+) -> Dict[str, Any]:
+    """Values of samples taken inside vs outside the given time windows."""
+    inside: List[float] = []
+    outside: List[float] = []
+    for t, value, _age in samples:
+        if any(lo <= t <= hi for lo, hi in windows):
+            inside.append(value)
+        else:
+            outside.append(value)
+    return {"windows": len(windows), "in": stats(inside), "out": stats(outside)}
+
+
 class TelemetryQuality:
     """One run's telemetry-quality state: coverage, freshness, attribution.
 
-    Wiring mirrors the other obs components: the hub owns an instance when
-    collection was requested, ``attach_network`` supplies the ground truth,
-    the harness calls :meth:`configure` once the probe layout is known, the
-    collector calls :meth:`report_ingested` per decoded probe, and the
-    network-aware scheduler calls :meth:`decision` for every audited delay
-    ranking.  All hooks only read state the caller already computed.
+    The :class:`~repro.obs.Observability` hub owns an instance when
+    collection was requested and fans its own hooks out to it:
+    ``attach_network`` supplies the ground truth, ``configure_probing`` the
+    probe layout (:meth:`configure`), ``probe_received`` each decoded probe
+    (:meth:`report_ingested`), and ``decision`` every audited delay ranking
+    made from a telemetry store (:meth:`decision`).  All hooks only read
+    state the caller already computed.
     """
 
     def __init__(self) -> None:
@@ -226,22 +338,9 @@ class TelemetryQuality:
             ):
                 self.samples_skipped += 1
                 continue
-            ages: List[float] = []
-            # The explanation flattens node ids to "kind:index" labels
-            # (see ranking._node_label); parse them back for the store.
-            path = [_parse_label(label) for label in cand.get("path") or []]
-            for u, v in zip(path, path[1:]):
-                if u is None or v is None:
-                    continue
-                state = store.link_state(u, v)
-                if state is None:
-                    continue
-                # updated_at defaults to -1.0 until the first report.
-                updated = max(state.latency_updated_at, state.qdepth_updated_at)
-                if updated >= 0.0:
-                    age = now - updated
-                    ages.append(age)
-                    self.decision_age.add(age)
+            ages = _hop_ages(now, store, cand.get("path"))
+            for age in ages:
+                self.decision_age.add(age)
             self._samples.append((now, est - truth, max(ages) if ages else None))
 
     # -- sampler inputs (health rules) ---------------------------------------
@@ -339,91 +438,19 @@ class TelemetryQuality:
 
     def _attribution_section(self, events: Optional[Any]) -> Dict[str, Any]:
         interval = self.probing_interval if self.probing_interval else 1.0
-        bins = []
-        edges = list(AGE_BIN_EDGES) + [math.inf]
-        for i in range(len(edges) - 1):
-            lo, hi = edges[i] * interval, edges[i + 1] * interval
-            errors = [
-                err for _t, err, age in self._samples
-                if age is not None and lo <= age < hi
-            ]
-            hi_multiple = edges[i + 1] if math.isfinite(edges[i + 1]) else None
-            label = (
-                f">= {edges[i]:g}x"
-                if hi_multiple is None
-                else f"[{edges[i]:g}x, {hi_multiple:g}x)"
-            )
-            bins.append(
-                {
-                    "label": label,
-                    "lo_multiple": edges[i],
-                    "hi_multiple": hi_multiple,
-                    **_error_stats(errors),
-                }
-            )
-        unknown = [err for _t, err, age in self._samples if age is None]
-        bins.append(
-            {
-                "label": "unknown",
-                "lo_multiple": None,
-                "hi_multiple": None,
-                **_error_stats(unknown),
-            }
-        )
+        samples = self._samples
         return {
             "interval": self.probing_interval,
             "decisions": self.decisions_seen,
-            "samples": len(self._samples),
+            "samples": len(samples),
             "skipped": self.samples_skipped,
-            "bins": bins,
-            "loss_windows": self._window_split(self._loss_windows(events, interval)),
-            "fault_windows": self._window_split(self._fault_windows(events)),
-        }
-
-    def _loss_windows(
-        self, events: Optional[Any], interval: float
-    ) -> List[Tuple[float, float]]:
-        if events is None:
-            return []
-        windows = [
-            (max(0.0, e.time - LOSS_WINDOW_INTERVALS * interval), e.time)
-            for e in events.of_kind("probe_lost")
-        ]
-        return _merge_windows(windows)
-
-    def _fault_windows(self, events: Optional[Any]) -> List[Tuple[float, float]]:
-        """[injected, recovered] per (fault, target); unrecovered faults stay
-        open to the end of the run."""
-        if events is None:
-            return []
-        injected: Dict[Tuple[Any, Any], List[float]] = {}
-        recovered: Dict[Tuple[Any, Any], List[float]] = {}
-        for e in events.of_kind("fault_injected"):
-            key = (e.fields.get("fault"), e.fields.get("target"))
-            injected.setdefault(key, []).append(e.time)
-        for e in events.of_kind("fault_recovered"):
-            key = (e.fields.get("fault"), e.fields.get("target"))
-            recovered.setdefault(key, []).append(e.time)
-        windows: List[Tuple[float, float]] = []
-        for key, starts in injected.items():
-            ends = sorted(recovered.get(key, []))
-            for start in sorted(starts):
-                end = next((t for t in ends if t >= start), math.inf)
-                windows.append((start, end))
-        return _merge_windows(windows)
-
-    def _window_split(self, windows: List[Tuple[float, float]]) -> Dict[str, Any]:
-        inside: List[float] = []
-        outside: List[float] = []
-        for t, err, _age in self._samples:
-            if any(lo <= t <= hi for lo, hi in windows):
-                inside.append(err)
-            else:
-                outside.append(err)
-        return {
-            "windows": len(windows),
-            "in": _error_stats(inside),
-            "out": _error_stats(outside),
+            "bins": _age_bins(samples, interval, _error_stats),
+            "loss_windows": _window_split(
+                samples, _loss_windows(events, interval), _error_stats
+            ),
+            "fault_windows": _window_split(
+                samples, _fault_windows(events), _error_stats
+            ),
         }
 
     def summary(self) -> Dict[str, Any]:
@@ -441,22 +468,6 @@ class TelemetryQuality:
 
 
 # -- offline report ----------------------------------------------------------
-
-
-def _run_key(record: Dict[str, Any]) -> Tuple:
-    return tuple(sorted(record.get("run", {}).items()))
-
-
-def _run_title(key: Tuple) -> str:
-    return ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def _digest_line(data: Optional[Dict[str, Any]]) -> str:

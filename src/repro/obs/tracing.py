@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs.export import _fmt_ms, _run_key, _run_title
+
 __all__ = [
     "Span",
     "SpanTracer",
@@ -408,18 +410,6 @@ def task_segments(
 # -- trace-report rendering ---------------------------------------------------
 
 
-def _run_key(record: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return tuple(sorted(record.get("run", {}).items()))
-
-
-def _run_label(key: Tuple[Tuple[str, Any], ...]) -> str:
-    return ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-
-
-def _fmt_ms(value: Any) -> str:
-    return f"{value * 1e3:.2f} ms" if isinstance(value, (int, float)) else "n/a"
-
-
 def _mean(values: List[float]) -> float:
     return sum(values) / len(values)
 
@@ -448,7 +438,7 @@ def render_trace_report(records: List[Dict[str, Any]]) -> str:
             s for s in tasks if s.get("attributes", {}).get("segments")
         ]
         lines.append(
-            f"  {_run_label(key)}: {len(tasks)} task traces "
+            f"  {_run_title(key)}: {len(tasks)} task traces "
             f"({len(decomposed)} decomposed), {len(probes)} probe traces"
         )
         if decomposed:
@@ -542,7 +532,7 @@ def write_chrome_trace(records: List[Dict[str, Any]], path: str) -> int:
             pids[key] = pid
             events.append({
                 "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                "args": {"name": _run_label(key)},
+                "args": {"name": _run_title(key)},
             })
         tkey = (pid, span["trace_id"])
         tid = tids.get(tkey)

@@ -37,12 +37,14 @@ import math
 import random as _random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import _fmt, _run_key, _run_title
 from repro.obs.quantiles import QuantileDigest
 from repro.obs.telquality import (
-    AGE_BIN_EDGES,
-    LOSS_WINDOW_INTERVALS,
-    _merge_windows,
-    _parse_label,
+    _age_bins,
+    _fault_windows,
+    _hop_ages,
+    _loss_windows,
+    _window_split,
 )
 from repro.simnet.random import derive_seed
 
@@ -202,50 +204,6 @@ def default_policies() -> List[CounterfactualPolicy]:
     ]
 
 
-# -- event-window extraction (live EventLog or exported record dicts) --------
-
-
-def _events_of(events: Any, kind: str) -> List[Tuple[float, Dict[str, Any]]]:
-    """``(time, fields)`` pairs for one event kind, from either a live
-    :class:`~repro.obs.events.EventLog` or a list of exported record dicts
-    (where event fields are flattened into the record)."""
-    if events is None:
-        return []
-    if hasattr(events, "of_kind"):
-        return [(e.time, e.fields) for e in events.of_kind(kind)]
-    return [
-        (float(r.get("time", 0.0)), r)
-        for r in events
-        if r.get("kind") == "event" and r.get("event") == kind
-    ]
-
-
-def _loss_windows(events: Any, interval: float) -> List[Tuple[float, float]]:
-    windows = [
-        (max(0.0, t - LOSS_WINDOW_INTERVALS * interval), t)
-        for t, _fields in _events_of(events, "probe_lost")
-    ]
-    return _merge_windows(windows)
-
-
-def _fault_windows(events: Any) -> List[Tuple[float, float]]:
-    """[injected, recovered] per (fault, target); unrecovered faults stay
-    open to the end of the run."""
-    injected: Dict[Tuple[Any, Any], List[float]] = {}
-    recovered: Dict[Tuple[Any, Any], List[float]] = {}
-    for t, fields in _events_of(events, "fault_injected"):
-        injected.setdefault((fields.get("fault"), fields.get("target")), []).append(t)
-    for t, fields in _events_of(events, "fault_recovered"):
-        recovered.setdefault((fields.get("fault"), fields.get("target")), []).append(t)
-    windows: List[Tuple[float, float]] = []
-    for key, starts in injected.items():
-        ends = sorted(recovered.get(key, []))
-        for start in sorted(starts):
-            end = next((t for t in ends if t >= start), math.inf)
-            windows.append((start, end))
-    return _merge_windows(windows)
-
-
 # -- the replay engine -------------------------------------------------------
 
 
@@ -334,47 +292,6 @@ def replay_decisions(
         regret_digest.add(actual_regret)
         samples.append((float(decision.get("time") or 0.0), actual_regret, age))
 
-    bins = []
-    edges = list(AGE_BIN_EDGES) + [math.inf]
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i] * interval, edges[i + 1] * interval
-        regrets = [
-            regret for _t, regret, age in samples
-            if age is not None and lo <= age < hi
-        ]
-        hi_multiple = edges[i + 1] if math.isfinite(edges[i + 1]) else None
-        label = (
-            f">= {edges[i]:g}x"
-            if hi_multiple is None
-            else f"[{edges[i]:g}x, {hi_multiple:g}x)"
-        )
-        bins.append(
-            {
-                "label": label,
-                "lo_multiple": edges[i],
-                "hi_multiple": hi_multiple,
-                **_regret_stats(regrets),
-            }
-        )
-    unknown = [regret for _t, regret, age in samples if age is None]
-    bins.append(
-        {
-            "label": "unknown",
-            "lo_multiple": None,
-            "hi_multiple": None,
-            **_regret_stats(unknown),
-        }
-    )
-
-    def window_split(windows: List[Tuple[float, float]]) -> Dict[str, Any]:
-        inside = [r for t, r, _age in samples if any(lo <= t <= hi for lo, hi in windows)]
-        outside = [r for t, r, _age in samples if not any(lo <= t <= hi for lo, hi in windows)]
-        return {
-            "windows": len(windows),
-            "in": _regret_stats(inside),
-            "out": _regret_stats(outside),
-        }
-
     actual_total = sum(r for _t, r, _age in samples)
     return {
         "interval": probing_interval,
@@ -400,9 +317,13 @@ def replay_decisions(
             }
             for p in policies
         ],
-        "staleness": {"bins": bins},
-        "loss_windows": window_split(_loss_windows(events, interval)),
-        "fault_windows": window_split(_fault_windows(events)),
+        "staleness": {"bins": _age_bins(samples, interval, _regret_stats)},
+        "loss_windows": _window_split(
+            samples, _loss_windows(events, interval), _regret_stats
+        ),
+        "fault_windows": _window_split(
+            samples, _fault_windows(events), _regret_stats
+        ),
     }
 
 
@@ -412,14 +333,15 @@ def replay_decisions(
 class WhatIf:
     """One run's counterfactual-replay state.
 
-    Wiring mirrors the other obs components: the hub owns an instance when
-    ``--whatif`` was requested, the harness calls :meth:`configure` once the
-    probing interval is known, and every scheduler (network-aware *and*
-    baselines) calls :meth:`decision` for each audited delay ranking.  The
-    hook only reads state the caller already computed: per-candidate truth
-    from the audit dicts, hop ages from the telemetry store.  The exported
-    record itself is produced by :func:`replay_decisions` over the audit's
-    own snapshots, so the export and any offline replay of it agree by
+    The :class:`~repro.obs.Observability` hub owns an instance when
+    ``--whatif`` was requested and fans its own hooks out to it:
+    ``configure_probing`` supplies the probing interval (:meth:`configure`)
+    and ``decision`` every audited delay ranking of every scheduler,
+    network-aware *and* baselines (:meth:`decision`).  The hook only reads
+    state the caller already computed: per-candidate truth from the audit
+    dicts, hop ages from the telemetry store.  The exported record itself
+    is produced by :func:`replay_decisions` over the audit's own
+    snapshots, so the export and any offline replay of it agree by
     construction.
     """
 
@@ -454,20 +376,11 @@ class WhatIf:
         for baselines (which consult no telemetry — their age is unknown).
         """
         self.decisions_seen += 1
-        ages: List[float] = []
-        if store is not None:
-            for cand in candidates:
-                path = [_parse_label(label) for label in cand.get("path") or []]
-                for u, v in zip(path, path[1:]):
-                    if u is None or v is None:
-                        continue
-                    state = store.link_state(u, v)
-                    if state is None:
-                        continue
-                    # updated_at defaults to -1.0 until the first report.
-                    updated = max(state.latency_updated_at, state.qdepth_updated_at)
-                    if updated >= 0.0:
-                        ages.append(now - updated)
+        ages = (
+            [a for c in candidates for a in _hop_ages(now, store, c.get("path"))]
+            if store is not None
+            else []
+        )
         self._ages.append(max(ages) if ages else None)
         truths = [t for t in (_truth_of(c) for c in candidates) if t is not None]
         chosen_truth = next(
@@ -515,22 +428,6 @@ class WhatIf:
 
 
 # -- offline report ----------------------------------------------------------
-
-
-def _run_key(record: Dict[str, Any]) -> Tuple:
-    return tuple(sorted(record.get("run", {}).items()))
-
-
-def _run_title(key: Tuple) -> str:
-    return ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def _policy_table(body: Dict[str, Any]) -> List[str]:

@@ -207,13 +207,12 @@ def execute_spec(spec: Any) -> Dict[str, Any]:
 
         obs = None
         labels = spec.obs_run()
-        sampled = getattr(spec, "sample_interval", None)
-        telquality = bool(getattr(spec, "telquality", False))
-        whatif = bool(getattr(spec, "whatif", False))
-        if (
-            labels is not None or spec.trace or sampled is not None
-            or telquality or whatif
-        ):
+        # Whether the payload carries the hub's obs export.
+        exported = (
+            labels is not None or spec.sample_interval is not None
+            or spec.telquality or spec.whatif
+        )
+        if exported or spec.trace:
             from repro.obs import Observability
 
             if labels is None:
@@ -225,8 +224,8 @@ def execute_spec(spec: Any) -> Dict[str, Any]:
                     "seed": spec.seed,
                 }
             obs = Observability(
-                run=labels, trace=spec.trace, sample_interval=sampled,
-                telquality=telquality, whatif=whatif,
+                run=labels, trace=spec.trace, sample_interval=spec.sample_interval,
+                telquality=spec.telquality, whatif=spec.whatif,
             )
         if memory_capture is not None:
             memory_capture.start()
@@ -234,10 +233,7 @@ def execute_spec(spec: Any) -> Dict[str, Any]:
         if memory_capture is not None:
             profiler.memory = memory_capture.stop()
         payload = result_to_dict(result, include_tasks=True)
-        if obs is not None and (
-            spec.obs_run() is not None or sampled is not None or telquality
-            or whatif
-        ):
+        if exported:
             payload["obs_records"] = obs.snapshot_records()
         if obs is not None and spec.trace:
             payload["trace_records"] = obs.trace_records()

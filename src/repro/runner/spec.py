@@ -77,8 +77,49 @@ def _scenario_from_dict(data: Dict[str, Any]) -> TrafficScenario:
     )
 
 
+class _Instrumentable:
+    """The instrumentation stamping both spec kinds share."""
+
+    def instrumented(
+        self,
+        *,
+        trace: bool = False,
+        profile: bool = False,
+        mem_profile: bool = False,
+        sample_interval: Optional[float] = None,
+        telquality: bool = False,
+        whatif: bool = False,
+    ) -> Any:
+        """This spec with instrumentation flags ORed in (identity when no
+        flag changes, so un-instrumented grids keep their spec objects).
+        ``mem_profile`` implies ``profile``; an already-sampled spec keeps
+        its own interval.  Flags the spec kind has no field for are
+        ignored (calibration runs only profile: no task/probe lifecycles
+        to trace, no scheduler decisions to sample, grade or replay)."""
+        own = {f.name for f in fields(self)}
+        wanted = {
+            "trace": trace,
+            "profile": profile or mem_profile or self.mem_profile,
+            "mem_profile": mem_profile,
+            "telquality": telquality,
+            "whatif": whatif,
+        }
+        changes: Dict[str, Any] = {
+            name: True
+            for name, on in wanted.items()
+            if on and name in own and not getattr(self, name)
+        }
+        if (
+            sample_interval is not None
+            and "sample_interval" in own
+            and self.sample_interval is None
+        ):
+            changes["sample_interval"] = sample_interval
+        return replace(self, **changes) if changes else self
+
+
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(_Instrumentable):
     """One experiment grid cell: topology workload, policy, probing config,
     fault plan (inlined by contents), seed, and scale — the full recipe for
     :func:`repro.experiments.harness.run_experiment`.
@@ -327,47 +368,9 @@ class RunSpec:
         """`dataclasses.replace` spelled as a method, for grid expansion."""
         return replace(self, **changes)
 
-    def instrumented(
-        self,
-        *,
-        trace: bool = False,
-        profile: bool = False,
-        mem_profile: bool = False,
-        sample_interval: Optional[float] = None,
-        telquality: bool = False,
-        whatif: bool = False,
-    ) -> "RunSpec":
-        """This spec with instrumentation flags ORed in (identity when no
-        flag changes, so un-instrumented grids keep their spec objects).
-        ``mem_profile`` implies ``profile``; an already-sampled spec keeps
-        its own interval."""
-        trace = trace or self.trace
-        mem_profile = mem_profile or self.mem_profile
-        profile = profile or self.profile or mem_profile
-        sample_interval = (
-            self.sample_interval if self.sample_interval is not None
-            else sample_interval
-        )
-        telquality = telquality or self.telquality
-        whatif = whatif or self.whatif
-        if (
-            trace == self.trace
-            and profile == self.profile
-            and mem_profile == self.mem_profile
-            and sample_interval == self.sample_interval
-            and telquality == self.telquality
-            and whatif == self.whatif
-        ):
-            return self
-        return replace(
-            self, trace=trace, profile=profile, mem_profile=mem_profile,
-            sample_interval=sample_interval, telquality=telquality,
-            whatif=whatif,
-        )
-
 
 @dataclass(frozen=True)
-class CalibrationSpec:
+class CalibrationSpec(_Instrumentable):
     """One Fig. 3 calibration point: a utilization level on the dumbbell."""
 
     KIND = "calibration"
@@ -411,26 +414,6 @@ class CalibrationSpec:
 
     def with_(self, **changes: Any) -> "CalibrationSpec":
         return replace(self, **changes)
-
-    def instrumented(
-        self,
-        *,
-        trace: bool = False,
-        profile: bool = False,
-        mem_profile: bool = False,
-        sample_interval: Optional[float] = None,
-        telquality: bool = False,
-        whatif: bool = False,
-    ) -> "CalibrationSpec":
-        """Profiling only — calibration runs have nothing to span-trace,
-        periodically sample, or probe (no scheduler, so no decisions to
-        grade or replay).  ``mem_profile`` implies ``profile``."""
-        del trace, sample_interval, telquality, whatif
-        mem_profile = mem_profile or self.mem_profile
-        profile = profile or self.profile or mem_profile
-        if profile != self.profile or mem_profile != self.mem_profile:
-            return replace(self, profile=profile, mem_profile=mem_profile)
-        return self
 
 
 SPEC_KINDS = {

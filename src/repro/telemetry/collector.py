@@ -84,17 +84,7 @@ class IntCollector:
         self.reports_ingested += 1
         self.last_report = report
         if obs:
-            obs.probe_received(
-                src=probe_src, dst=probe_dst, seq=seq, hops=len(records)
-            )
-            trace = getattr(obs, "trace", None)
-            if trace is not None and trace.wants_probe(seq):
-                trace.probe_ingested(
-                    src=probe_src, dst=probe_dst, seq=seq, hops=len(records)
-                )
-            telquality = getattr(obs, "telquality", None)
-            if telquality is not None:
-                telquality.report_ingested(report)
+            obs.probe_received(report)
             self._track_loss(obs, probe_src, probe_dst, seq)
         for fn in self._subscribers:
             fn(report)

@@ -6,6 +6,8 @@ from repro.edge.task import SizeClass
 from repro.experiments.harness import (
     POLICY_AWARE,
     POLICY_NEAREST,
+    POLICY_RANDOM,
+    SMOKE_SCALE,
     ExperimentConfig,
     ExperimentScale,
     run_experiment,
@@ -86,3 +88,27 @@ class TestAttachedRun:
         assert s["events"] > 0
         assert s["decisions"] > 0
         assert s["delay_error"]["samples"] > 0
+
+
+@pytest.mark.parametrize("policy", [POLICY_AWARE, POLICY_NEAREST, POLICY_RANDOM])
+def test_decision_hook_gates_observatories_on_the_bounded_audit(policy):
+    """The hub hands a decision to the observatories only when the bounded
+    audit stored it and its metric is delay; telemetry quality also needs
+    the scheduler's store, which baselines do not have."""
+    obs = Observability(
+        run={"policy": policy}, max_decisions=4, telquality=True, whatif=True
+    )
+    config = ExperimentConfig(
+        policy=policy, size_class=SizeClass.VS, scale=SMOKE_SCALE, seed=3
+    )
+    run_experiment(config, obs=obs)
+    assert obs.audit.dropped_decisions > 0, "the audit must overflow its cap"
+    stored = sum(1 for d in obs.audit.decisions if d.metric == "delay")
+    assert stored > 0
+    records = obs.snapshot_records()
+    (tq,) = [r for r in records if r["kind"] == "telquality"]
+    (wi,) = [r for r in records if r["kind"] == "whatif"]
+    # The record replays the audit; the summary counts the live hook calls.
+    assert wi["decisions"] == obs.summary()["whatif"]["decisions"] == stored
+    expected_tq = stored if policy == POLICY_AWARE else 0
+    assert tq["attribution"]["decisions"] == expected_tq

@@ -1,60 +1,22 @@
-"""What-if determinism: replay is offline-reproducible and byte-stable.
+"""What-if acceptance: replay is offline-reproducible.
 
-Acceptance tests for the counterfactual decision observatory: a grid run
-with ``whatif=True`` must export byte-identical payloads serially, under
-``jobs=4``, and through a cache round trip; enabling collection must not
-change any task outcome; and re-replaying the exported decision audits
-offline must reproduce the exported ``whatif`` record's policy totals
-bit-exactly, with the oracle at exactly zero regret.
+Re-replaying the exported decision audits offline must reproduce the
+exported ``whatif`` record's policy totals bit-exactly, with the oracle at
+exactly zero regret, and dropping the record must leave the plain export.
+The invariants every observatory shares (serial == ``jobs=4`` == cached,
+stamping, unperturbed outcomes) live in ``test_observatory_determinism.py``.
 """
-
-import json
 
 import pytest
 
-from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
-from repro.runner import ResultCache, Runner, RunSpec, expand_grid
+from repro.runner import Runner, RunSpec
 
 pytestmark = pytest.mark.slow
 
 
-def _grid():
-    base = RunSpec.from_config(ExperimentConfig(scale=SMOKE_SCALE, seed=3))
-    return expand_grid(
-        base, {"policy": ["aware", "nearest"], "size_class": ["VS", "S"]}
-    )
-
-
-@pytest.fixture(scope="module")
-def serial_results():
-    return Runner(jobs=1, whatif=True).run(_grid())
-
-
 class TestWhatifDeterminism:
-    def test_jobs4_payloads_byte_identical_to_serial(self, serial_results):
-        parallel = Runner(jobs=4, whatif=True).run(_grid())
-        assert len(parallel) == len(serial_results) == 4
-        for s, p in zip(serial_results, parallel):
-            assert s.payload_json() == p.payload_json(), s.spec.label()
-
-    def test_cache_round_trip_preserves_whatif(self, tmp_path, serial_results):
-        cache = ResultCache(str(tmp_path))
-        spec = _grid()[0]
-        first = Runner(jobs=1, cache=cache, whatif=True).run([spec])[0]
-        hit = Runner(jobs=1, cache=cache, whatif=True).run([spec])[0]
-        assert hit.from_cache
-        assert hit.payload_json() == first.payload_json()
-        assert hit.payload_json() == serial_results[0].payload_json()
-
-    def test_whatif_spec_hash_differs_from_plain(self):
-        spec = _grid()[0]
-        observed = spec.instrumented(whatif=True)
-        assert observed.content_hash() != spec.content_hash()
-        # Stamping is idempotent.
-        assert observed.instrumented(whatif=True) is observed
-
-    def test_payload_carries_one_whatif_record_per_run(self, serial_results):
-        for result in serial_results:
+    def test_payload_carries_one_whatif_record_per_run(self, observed_grid):
+        for result in observed_grid("whatif"):
             records = result.obs_records()
             whatif = [r for r in records if r["kind"] == "whatif"]
             assert len(whatif) == 1
@@ -62,19 +24,7 @@ class TestWhatifDeterminism:
             assert records[-1]["kind"] == "whatif"
             assert whatif[0]["decisions"] == whatif[0]["replayed"] + whatif[0]["skipped"]
 
-    def test_collection_does_not_perturb_outcomes(self, serial_results):
-        """The payload minus obs_records equals the plain payload exactly —
-        the replay hook reads candidate dicts the audit already built and
-        never schedules simulator events of its own."""
-        plain = Runner(jobs=1).run(_grid())
-        for s, p in zip(serial_results, plain):
-            observed_payload = json.loads(s.payload_json())
-            observed_payload.pop("obs_records", None)
-            plain_payload = json.loads(p.payload_json())
-            plain_payload.pop("obs_records", None)
-            assert observed_payload == plain_payload, s.spec.label()
-
-    def test_filtered_export_matches_plain_obs_records(self, serial_results):
+    def test_filtered_export_matches_plain_obs_records(self, observed_grid):
         """Dropping the whatif record yields the exact record stream a
         plain labeled run exports (the CI smoke proves the same with
         grep/cmp over the JSONL bytes)."""
@@ -88,14 +38,14 @@ class TestWhatifDeterminism:
                         "seed": s.spec.seed,
                     },
                 )
-                for s in serial_results
+                for s in observed_grid("whatif")
             ]
         )
-        for s, p in zip(serial_results, plain):
+        for s, p in zip(observed_grid("whatif"), plain):
             filtered = [r for r in s.obs_records() if r["kind"] != "whatif"]
             assert filtered == p.obs_records(), s.spec.label()
 
-    def test_offline_replay_matches_exported_record(self, serial_results):
+    def test_offline_replay_matches_exported_record(self, observed_grid):
         """Acceptance: re-walking the exported decision audits with the
         same engine reproduces the exported policy totals bit-exactly, the
         oracle sits at exactly zero regret, and the staleness bins sum to
@@ -103,7 +53,7 @@ class TestWhatifDeterminism:
         from repro.runner.spec import canonical_json
         from repro.obs.whatif import replay_decisions
 
-        for result in serial_results:
+        for result in observed_grid("whatif"):
             records = result.obs_records()
             (wi,) = [r for r in records if r["kind"] == "whatif"]
             decisions = [
@@ -134,12 +84,11 @@ class TestWhatifDeterminism:
             )
             assert canonical_json(offline) == canonical_json(again)
 
-    def test_staleness_bins_reconcile_with_telquality(self):
+    def test_staleness_bins_reconcile_with_telquality(self, smoke_grid):
         """Both observatories on one run gate the same decisions: the
         whatif record's delay-decision count equals the telquality
         attribution's."""
-        spec = _grid()[0]
-        result = Runner(jobs=1, telquality=True, whatif=True).run([spec])[0]
+        result = Runner(jobs=1, telquality=True, whatif=True).run(smoke_grid[:1])[0]
         records = result.obs_records()
         (wi,) = [r for r in records if r["kind"] == "whatif"]
         (tq,) = [r for r in records if r["kind"] == "telquality"]

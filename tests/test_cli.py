@@ -578,3 +578,36 @@ def test_bench_compare_missing_file(capsys):
     rc = main(["bench-compare", "/nonexistent/a.json", "/nonexistent/b.json"])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
+
+
+def test_observatory_flags_without_an_export_are_dropped(capsys, tmp_path):
+    """Observatory flags whose records would be discarded get one note
+    naming each of them and are not stamped on the specs: no collection
+    runs, and the plain cache entries are reused."""
+    cache_dir = tmp_path / "rc"
+    argv = [
+        "compare", "--figure", "fig5", "--scale", "smoke",
+        "--classes", "VS", "--cache", "--cache-dir", str(cache_dir),
+    ]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert "note:" not in plain
+    assert main(argv + ["--telquality", "--whatif", "--sample-interval", "0.5"]) == 0
+    out = capsys.readouterr().out
+    (note,) = [line for line in out.splitlines() if line.startswith("note:")]
+    for flag in ("--sample-interval", "--telquality", "--whatif"):
+        assert flag in note
+    assert "--obs-out" in note
+    assert len(list(cache_dir.glob("*.json"))) == 3  # plain entries reused
+
+    assert main([
+        "calibrate", "--levels", "0.5", "--duration", "5",
+        "--telquality", "--sample-interval", "1", "--obs-out",
+        str(tmp_path / "obs.jsonl"),
+    ]) == 0
+    out = capsys.readouterr().out
+    (note,) = [line for line in out.splitlines() if line.startswith("note:")]
+    for flag in ("--obs-out", "--sample-interval", "--telquality"):
+        assert flag in note
+    assert "--whatif" not in note
+    assert not (tmp_path / "obs.jsonl").exists()
